@@ -163,23 +163,20 @@ def main(argv=None):
             f"multiset == single: {same}"
         )
 
-    # Transport contrast: this demo collects every JoinResult, so the
-    # full result set rides back through the worker pipes at flush —
-    # exactly the regime where the columnar ResultBlock return path
-    # beats per-object pickling (see benchmarks/bench_ext_columnar.py).
-    for transport in ("objects", "blocks"):
-        started = time.perf_counter()
-        outputs, _ = run_partitioned(
-            dataset, config(k_ms), 2, executor="process",
-            chunk_size=512, transport=transport,
-        )
-        elapsed = time.perf_counter() - started
-        same = Counter(r.key() for r in outputs) == reference
-        print(
-            f"{'process x2 ' + transport:<22} {len(outputs):>8} results  "
-            f"{elapsed:6.2f} s  {len(dataset) / elapsed:>9,.0f} tuples/s  "
-            f"multiset == single: {same}"
-        )
+    # The process executor on batched bursts: this demo collects every
+    # JoinResult, so the full result set rides back through the worker
+    # pipes at flush as one columnar ResultBlock per shard.
+    started = time.perf_counter()
+    outputs, _ = run_partitioned(
+        dataset, config(k_ms), 2, executor="process", chunk_size=512
+    )
+    elapsed = time.perf_counter() - started
+    same = Counter(r.key() for r in outputs) == reference
+    print(
+        f"{'process x2 batched':<22} {len(outputs):>8} results  "
+        f"{elapsed:6.2f} s  {len(dataset) / elapsed:>9,.0f} tuples/s  "
+        f"multiset == single: {same}"
+    )
 
     # Skew-aware rebalancing: with rebalance=True the router's virtual
     # slot table is re-planned against the observed per-slot load and
@@ -216,9 +213,8 @@ def main(argv=None):
         "any joinable combination to the same shard.  The batched driver\n"
         "(process_batch / chunk_size) is a pure dispatch optimization on top\n"
         "— see benchmarks/bench_ext_batched.py for the throughput contrast —\n"
-        "and the columnar block transport (transport='blocks', the default)\n"
-        "moves routed batches and collected results as flat columns instead\n"
-        "of per-tuple object graphs (benchmarks/bench_ext_columnar.py)."
+        "and the process executors move routed batches and collected results\n"
+        "as flat columnar blocks (benchmarks/bench_ext_columnar.py)."
     )
 
 

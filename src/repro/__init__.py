@@ -76,7 +76,6 @@ from .join.store import (
 from .join.window import SlidingWindow
 from .parallel import (
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     TRANSPORT_SHM,
     KeyRouter,
     MigrationSpec,
@@ -152,7 +151,7 @@ __all__ = [
     # parallel scale-out
     "PartitionedPipeline", "KeyRouter", "ShardExecutor", "SerialExecutor",
     "MultiprocessingExecutor", "ShardOutcome", "run_partitioned",
-    "TRANSPORT_BLOCKS", "TRANSPORT_OBJECTS", "TRANSPORT_SHM",
+    "TRANSPORT_BLOCKS", "TRANSPORT_SHM",
     "Rebalancer", "MigrationSpec", "load_imbalance",
     # pipelined ingestion & shared-memory transport
     "PipelinedIngest", "ShmRing",

@@ -4,10 +4,12 @@ The PR 2 contracts made ``flush()`` terminal on every stage that buffers
 state — :class:`~repro.core.kslack.KSlackBuffer`,
 :class:`~repro.core.synchronizer.Synchronizer`,
 :class:`~repro.core.result_sorter.ResultSorter`, and
-:class:`~repro.core.pipeline.QualityDrivenPipeline` — because a stage
-reused after flush silently mixes pre- and post-flush ordering
-contracts.  The stages raise at runtime; this rule catches the pattern
-before it ever runs.
+:class:`~repro.core.pipeline.QualityDrivenPipeline`, likewise the
+partitioned pipeline and its :class:`~repro.parallel.ingest.PipelinedIngest`
+feeder, whose ``submit`` takes bursts — because a stage reused after
+flush silently mixes pre- and post-flush ordering contracts.  The
+stages raise at runtime; this rule catches the pattern before it ever
+runs.
 
 The check is deliberately **flow-insensitive within one function** (per
 the contract's own documentation): inside each function body, a call

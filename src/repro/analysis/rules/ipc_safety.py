@@ -1,8 +1,9 @@
 """Rule ``ipc-safety``: nothing statically unpicklable on IPC paths.
 
 Everything handed to the partitioned engine's process boundary — the
-executors' ``submit`` / ``submit_batch`` / ``migrate`` / ``adopt``
-surface, pipe ``send`` calls, and ``Process(...)`` construction — is
+executors' ``submit_batch`` / ``migrate`` / ``adopt`` surface, the
+pipelined ingest feeder's ``submit`` (its bursts reach the same
+executors), pipe ``send`` calls, and ``Process(...)`` construction — is
 pickled (or block-encoded) to cross it.  Three expression shapes are
 *never* picklable and fail only at runtime, possibly deep inside a
 worker:

@@ -273,9 +273,9 @@ class StateBlock:
     objects from a tiered store's cold tier (re-adopting the items in
     sequence reproduces probe candidate order); ``pending`` carries the
     tuples still in flight in the source's disorder-handling front,
-    either as a raw :class:`~repro.core.tuples.StreamTuple` list (serial
-    executor / object transport) or as :class:`TupleBlock` columns
-    (block transport).  Unlike the steady-state tuple stream, state
+    either as a raw :class:`~repro.core.tuples.StreamTuple` list (the
+    in-process serial executor) or as :class:`TupleBlock` columns (every
+    worker transport).  Unlike the steady-state tuple stream, state
     blocks are rare one-shot messages, so each is self-contained:
     :func:`encode_state` uses fresh encoders whose schemas travel
     inline, and :func:`decode_state` pairs them with fresh decoders — no

@@ -276,9 +276,9 @@ class QualityDrivenPipeline:
     a shared :class:`~repro.core.synchronizer.Synchronizer` (inter-stream
     disorder), the :class:`~repro.join.mswj.MSWJOperator`, and the
     management plane that adapts the buffer size K against the recall
-    requirement Γ.  Drive it in *arrival order*: :meth:`process` per raw
-    tuple (or :meth:`process_batch` per burst — sequence-identical, just
-    cheaper per tuple), then :meth:`flush` exactly once at end of input.
+    requirement Γ.  Drive it in *arrival order*: :meth:`process_batch`
+    per burst (or :meth:`process` per raw tuple, a one-tuple burst),
+    then :meth:`flush` exactly once at end of input.
 
     Parameters
     ----------
@@ -397,42 +397,18 @@ class QualityDrivenPipeline:
 
     def process(self, t: StreamTuple) -> Union[List[JoinResult], int]:
         """Feed one raw tuple (arrival order); return results produced now."""
-        if self._flushed:
-            raise RuntimeError("pipeline already flushed; create a new instance")
-        if not 0 <= t.stream < self.num_streams:
-            raise ValueError(
-                f"tuple stream index {t.stream} outside [0, {self.num_streams})"
-            )
-        self.metrics.tuples_processed += 1
-        released = self.kslacks[t.stream].process(t)
-        self.statistics.observe_arrival(t)
-
-        # Continuous policies (Max-K-slack) may bump K at any arrival.
-        immediate_k = self.policy.on_arrival(t)
-        if immediate_k is not None and immediate_k != self._current_k:
-            released.extend(self._apply_k(immediate_k))
-
-        outputs = self._route_to_join(released)
-
-        # Interval adaptation on application-time boundaries.
-        while self.app_time_ms() >= self._next_adaptation_ms:
-            boundary = self._next_adaptation_ms
-            self._next_adaptation_ms += self.config.interval_ms
-            outputs = self._merge(outputs, self._adapt(boundary))
-        return outputs
+        return self.process_batch([t])
 
     def process_batch(
         self, batch: Sequence[StreamTuple]
     ) -> Union[List[JoinResult], int]:
-        """Feed a burst of raw tuples in arrival order; return all results.
+        """Feed raw tuples in arrival order; return all results produced.
 
-        Exactly equivalent to concatenating per-tuple :meth:`process`
-        returns — every tuple still advances the statistics clock, may
-        trigger a continuous-policy K bump, and adaptation boundaries are
-        honoured mid-batch.  The batched loop amortizes the per-tuple
-        attribute lookups and the adaptation-boundary bookkeeping, and
-        routes each tuple's K-slack releases through the Synchronizer and
-        the join as one burst.
+        Per tuple: K-slack buffering, arrival statistics, a possible
+        continuous-policy K bump (Max-K-slack may raise K at any arrival),
+        the released tuples' route through the Synchronizer into the
+        join, and every interval adaptation whose application-time
+        boundary the tuple crosses.
         """
         if self._flushed:
             raise RuntimeError("pipeline already flushed; create a new instance")

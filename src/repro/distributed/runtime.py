@@ -54,7 +54,7 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..core.blocks import PICKLE_PROTOCOL, BlockDecoder, BlockEncoder, TupleBlock
 from ..core.pipeline import PipelineConfig
@@ -262,7 +262,6 @@ class _WorkerSpec:
     kind: str
     index: int
     config: Union[PipelineConfig, _TreeNodeSpec]
-    transport: str = TRANSPORT_SOCKET
     faults: Optional[FaultPlan] = None
     grant_credits: bool = False
 
@@ -300,7 +299,6 @@ def _node_worker(conn: SocketConnection, spec: _WorkerSpec) -> None:
             conn,  # type: ignore[arg-type]  # Connection-shaped by design
             spec.index,
             spec.config,
-            transport=spec.transport,
             faults=spec.faults,
             rings=None,
             grant_credits=spec.grant_credits,
@@ -692,10 +690,9 @@ class _SocketPrimitivesMixin:
         """Place ``shard``'s worker on a node instead of forking one."""
         self._dispatched[shard] = 0
         self._credited[shard] = 0
-        if self._encoders is not None:
-            # Same contract as the pipe path: a fresh worker's decoder
-            # starts empty, so schema negotiation restarts with it.
-            self._encoders[shard] = BlockEncoder()
+        # Same contract as the pipe path: a fresh worker's decoder starts
+        # empty, so schema negotiation restarts with it.
+        self._encoders[shard] = BlockEncoder()
         if len(self._node_of) <= shard:
             # First placement: least-loaded node (ties break low) — at
             # construction this degenerates to round-robin, and a grown
@@ -711,7 +708,6 @@ class _SocketPrimitivesMixin:
             kind=KIND_SHARD,
             index=shard,
             config=self.config,
-            transport=self.transport,
             faults=self._fault_plan_for(shard),
             grant_credits=self._credit_window is not None,
         )

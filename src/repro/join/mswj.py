@@ -150,7 +150,7 @@ class MSWJOperator:
             SlidingWindow(size, condition.indexed_attributes(i), store=store)
             for i, size in enumerate(self.window_sizes_ms)
         ]
-        # Hot-path handle: the batched loop talks to stores directly
+        # Hot-path handle: the in-order path talks to stores directly
         # (needs_expiry / len) instead of peeking window internals.
         self._stores = [w.store for w in self.windows]
         if probe_out_of_order and not collect_results:
@@ -192,75 +192,6 @@ class MSWJOperator:
             if self._callback is not None:
                 self._callback(t, None, None, False)
         return results
-
-    def process_batch(
-        self, batch: Sequence[StreamTuple]
-    ) -> Union[List[JoinResult], int]:
-        """Process a burst of synchronized tuples in sequence.
-
-        Exactly equivalent to concatenating per-tuple :meth:`process`
-        outputs — the batched loop only amortizes the per-tuple driver
-        overhead (attribute lookups, branch dispatch, window-expiration
-        heap peeks) over the burst.
-        """
-        collect = self._collect_results
-        windows = self.windows
-        stores = self._stores
-        sizes = self.window_sizes_ms
-        num_streams = self.num_streams
-        stats = self.stats
-        callback = self._callback
-        probe_ooo = self._probe_out_of_order
-        if collect:
-            outputs: Union[List[JoinResult], int] = []
-            extend = outputs.extend
-        else:
-            outputs = 0
-        for t in batch:
-            i = t.stream
-            if not 0 <= i < num_streams:
-                raise ValueError(
-                    f"tuple stream index {i} outside [0, {num_streams})"
-                )
-            ts = t.ts
-            if ts >= self.on_t:
-                self.on_t = ts
-                stats.tuples_in_order += 1
-                n_cross = 1
-                for j in range(num_streams):
-                    if j == i:
-                        continue
-                    store = stores[j]
-                    bound = ts - sizes[j]
-                    if store.needs_expiry(bound):
-                        store.expire_before(bound)
-                    n_cross *= len(store)
-                results = self._probe(t)
-                n_on = len(results) if collect else results
-                stats.results_produced += n_on
-                stats.probes += 1
-                windows[i].insert(t)
-                if callback is not None:
-                    callback(t, n_cross, n_on, True)
-                if collect:
-                    extend(results)
-                else:
-                    outputs += results
-            else:
-                if ts > self.on_t - sizes[i]:
-                    if probe_ooo:
-                        late = self._probe_late(t)
-                        if collect:
-                            extend(late)
-                        else:
-                            outputs += len(late)
-                    windows[i].insert(t)
-                    stats.tuples_out_of_order_kept += 1
-                else:
-                    stats.tuples_dropped += 1
-                if callback is not None:
-                    callback(t, None, None, False)
-        return outputs
 
     def _process_in_order(self, t: StreamTuple) -> Union[List[JoinResult], int]:
         i = t.stream

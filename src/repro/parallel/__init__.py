@@ -37,14 +37,12 @@ from .rebalancer import MigrationSpec, Rebalancer, load_imbalance
 from .router import DEFAULT_SLOTS_PER_SHARD, KeyRouter, stable_hash
 from .shard import (
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     TRANSPORT_SHM,
     TRANSPORT_SOCKET,
     TRANSPORTS,
     FailoverState,
     ShardFailure,
     ShardOutcome,
-    transport_encodes_blocks,
 )
 from .shm import (
     DEFAULT_RING_BYTES,
@@ -81,12 +79,10 @@ __all__ = [
     "SupervisedExecutor",
     "SupervisionConfig",
     "TRANSPORT_BLOCKS",
-    "TRANSPORT_OBJECTS",
     "TRANSPORT_SHM",
     "TRANSPORT_SOCKET",
     "TRANSPORTS",
     "load_imbalance",
     "run_partitioned",
     "stable_hash",
-    "transport_encodes_blocks",
 ]

@@ -5,19 +5,18 @@
   executor the invariance tests run against.
 * :class:`MultiprocessingExecutor` — one worker process per shard with
   batched tuple transfer: the parent buffers up to ``batch_size`` tuples
-  per shard before each pipe send, amortizing pickling and syscalls.
-  The wire format is selectable (``transport``): columnar
-  :class:`~repro.core.blocks.TupleBlock` messages (the default — one
-  small flat object per message, schema negotiated once per shard and
-  attribute set) or legacy per-object pickling (the benchmark baseline).
-  Results and metrics ride back once per shard at
-  :meth:`~ShardExecutor.finish` — as a
-  :class:`~repro.core.blocks.ResultBlock` under block transport.
+  per shard before each send, amortizing pickling and syscalls.  Every
+  batch travels as one columnar :class:`~repro.core.blocks.TupleBlock`
+  (one small flat object per message, schema negotiated once per shard
+  and attribute set); ``transport`` only picks the carrier — the pipe
+  itself or a shared-memory ring.  Results and metrics ride back once
+  per shard at :meth:`~ShardExecutor.finish`, collected results as a
+  :class:`~repro.core.blocks.ResultBlock`.
 
 Both present the same lifecycle so
 :class:`~repro.parallel.pipeline.PartitionedPipeline` treats them
-uniformly: ``submit(shard, tuple)`` / ``submit_batch(shard, batch)`` per
-routed tuple or burst in arrival order, optional ``migrate``/``adopt``
+uniformly: ``submit_batch(shard, batch)`` per routed burst in arrival
+order, optional ``migrate``/``adopt``
 barrier pairs when the rebalancer moves slot state between shards, then
 ``finish()`` exactly once.
 
@@ -62,9 +61,7 @@ from .shard import (
     adopt_shard_state,
     empty_outputs,
     extract_shard_state,
-    merge_outputs,
     shard_worker,
-    transport_encodes_blocks,
 )
 from .shm import DEFAULT_RING_BYTES, RingAborted, RingError, ShmRing
 
@@ -82,12 +79,12 @@ POLL_INTERVAL_S = 0.05
 class ShardExecutor(ABC):
     """Owns N shard pipelines and feeds them routed tuples.
 
-    ``submit`` returns whatever results the shard makes available
+    ``submit_batch`` returns whatever results the shard makes available
     *immediately*: the serial executor returns them per call, the
     multiprocessing executor returns an empty batch and delivers
     everything with the shard's :class:`~repro.parallel.shard.ShardOutcome`
-    at :meth:`finish`.  Accumulating all ``submit`` returns plus the
-    outcome outputs therefore yields the same multiset under either
+    at :meth:`finish`.  Accumulating all ``submit_batch`` returns plus
+    the outcome outputs therefore yields the same multiset under either
     executor.
     """
 
@@ -134,21 +131,9 @@ class ShardExecutor(ABC):
         )
 
     @abstractmethod
-    def submit(self, shard: int, t: StreamTuple) -> Outputs:
-        """Feed one tuple to ``shard``; return results available now."""
-
     def submit_batch(self, shard: int, batch: Sequence[StreamTuple]) -> Outputs:
-        """Feed a routed batch to ``shard``; return results available now.
-
-        Equivalent to submitting each tuple in sequence; executors
-        override this to amortize per-tuple dispatch (one in-process
-        batched call, or one pipe send per accumulated IPC batch).
-        """
-        collect = self.config.collect_results
-        outputs = empty_outputs(collect)
-        for t in batch:
-            outputs = merge_outputs(collect, outputs, self.submit(shard, t))
-        return outputs
+        """Feed a routed batch to ``shard`` in arrival order; return
+        results available now."""
 
     def migrate(
         self, shard: int, spec: MigrationSpec
@@ -195,10 +180,6 @@ class SerialExecutor(ShardExecutor):
         self.pipelines = [
             QualityDrivenPipeline(config) for _ in range(num_shards)
         ]
-
-    def submit(self, shard: int, t: StreamTuple) -> Outputs:
-        self.submitted[shard] += 1
-        return self.pipelines[shard].process(t)
 
     def submit_batch(self, shard: int, batch: Sequence[StreamTuple]) -> Outputs:
         self.submitted[shard] += len(batch)
@@ -250,16 +231,16 @@ class SerialExecutor(ShardExecutor):
 class MultiprocessingExecutor(ShardExecutor):
     """One worker process per shard, batched tuple transfer over pipes.
 
-    ``transport`` selects the wire format: :data:`TRANSPORT_BLOCKS`
-    (default) encodes each outgoing batch as one columnar
+    Each outgoing batch is encoded as one columnar
     :class:`~repro.core.blocks.TupleBlock` through a per-shard
     schema-negotiating :class:`~repro.core.blocks.BlockEncoder`, and the
     worker ships collected results back as one
-    :class:`~repro.core.blocks.ResultBlock`; :data:`TRANSPORT_OBJECTS`
-    pickles the tuple objects themselves (the pre-columnar path, kept as
-    the benchmark baseline).  Either way messages leave through
-    ``send_bytes`` with pickle protocol ``5`` — serialization happens
-    exactly once, in :meth:`_send`.
+    :class:`~repro.core.blocks.ResultBlock`.  ``transport`` picks the
+    carrier: :data:`TRANSPORT_BLOCKS` (default) sends every message down
+    the pipe, :data:`TRANSPORT_SHM` writes bulky ones into a per-shard
+    shared-memory ring.  Messages leave through ``send_bytes`` with
+    pickle protocol ``5`` — serialization happens exactly once, in
+    :meth:`_send`.
 
     Prefers the ``fork`` start method so non-picklable join conditions
     (theta lambdas) reach the children by inheritance; under ``spawn``
@@ -302,11 +283,7 @@ class MultiprocessingExecutor(ShardExecutor):
         # replacement workers long after construction.
         self._context = multiprocessing.get_context(start_method)
         self._batches: List[List[StreamTuple]] = [[] for _ in range(num_shards)]
-        self._encoders: Optional[List[BlockEncoder]] = (
-            [BlockEncoder() for _ in range(num_shards)]
-            if transport_encodes_blocks(transport)
-            else None
-        )
+        self._encoders = [BlockEncoder() for _ in range(num_shards)]
         #: Credit-based backpressure: with a window of W, at most W
         #: dispatched-but-unconfirmed batches may be in flight per shard
         #: (the worker confirms each processed batch with MSG_CREDIT).
@@ -356,7 +333,6 @@ class MultiprocessingExecutor(ShardExecutor):
         return (
             shard,
             self.config,
-            self.transport,
             self._fault_plan_for(shard),
             self._ring_descriptors(shard),
             self._credit_window is not None,
@@ -387,10 +363,9 @@ class MultiprocessingExecutor(ShardExecutor):
         self._dispatched[shard] = 0
         self._credited[shard] = 0
         parent_conn, child_conn = self._context.Pipe(duplex=True)
-        if self._encoders is not None:
-            # The worker's decoder starts empty, so the connection's
-            # schema negotiation must restart from scratch too.
-            self._encoders[shard] = BlockEncoder()
+        # The worker's decoder starts empty, so the connection's schema
+        # negotiation must restart from scratch too.
+        self._encoders[shard] = BlockEncoder()
         if shard < len(self._connections):
             self._connections[shard] = parent_conn
         else:
@@ -409,27 +384,16 @@ class MultiprocessingExecutor(ShardExecutor):
         else:
             self._processes.append(process)
 
-    def submit(self, shard: int, t: StreamTuple) -> Outputs:
-        if self._finished:
-            raise RuntimeError("executor already finished")
-        self.submitted[shard] += 1
-        batch = self._batches[shard]
-        batch.append(t)
-        if len(batch) >= self.batch_size:
-            self._dispatch(shard, batch, 0, len(batch))
-            batch.clear()
-        return empty_outputs(self.config.collect_results)
-
     def submit_batch(self, shard: int, batch: Sequence[StreamTuple]) -> Outputs:
         """Queue a whole routed batch with one extend per call.
 
-        The pending buffer drains in ``batch_size`` index windows — the
-        same pipe-message cadence and parent-side buffering bound as
-        per-tuple submission — and the leftover head is removed in place
-        (``del pending[:start]``), so a large routed batch costs one
-        ``extend`` plus one compaction instead of repeated backlog
-        slices.  Under block transport each window is encoded straight
-        from the buffer (no intermediate sub-lists at all).
+        The pending buffer drains in ``batch_size`` index windows — one
+        pipe message per ``batch_size`` tuples whatever the routed burst
+        size, and a parent-side buffering bound of ``batch_size`` — and
+        the leftover head is removed in place (``del pending[:start]``),
+        so a large routed batch costs one ``extend`` plus one compaction
+        instead of repeated backlog slices.  Each window is encoded
+        straight from the buffer (no intermediate sub-lists at all).
         """
         if self._finished:
             raise RuntimeError("executor already finished")
@@ -452,15 +416,7 @@ class MultiprocessingExecutor(ShardExecutor):
         """Send ``pending[start:stop]`` as one MSG_BATCH message."""
         if self._credit_window is not None:
             self._await_credit(shard)
-        if self._encoders is not None:
-            payload = self._encoders[shard].encode(pending, start, stop)
-        elif start == 0 and stop == len(pending):
-            # Serialization happens synchronously in _send_message, so
-            # the live buffer can be passed (and cleared by the caller)
-            # directly.
-            payload = pending
-        else:
-            payload = pending[start:stop]
+        payload = self._encoders[shard].encode(pending, start, stop)
         self._send_message(shard, (MSG_BATCH, payload))
         self._dispatched[shard] += 1
 
@@ -525,8 +481,7 @@ class MultiprocessingExecutor(ShardExecutor):
         self._batches.append([])
         self._dispatched.append(0)
         self._credited.append(0)
-        if self._encoders is not None:
-            self._encoders.append(BlockEncoder())
+        self._encoders.append(BlockEncoder())
         self._spawn_worker(shard)
         return shard
 
@@ -542,7 +497,7 @@ class MultiprocessingExecutor(ShardExecutor):
         tag, payload = self._await_reply(shard)
         if tag != "ok":
             raise ShardFailure(shard, str(payload), recoverable=False)
-        if self._encoders is not None and self.config.collect_results:
+        if self.config.collect_results:
             payload.outputs = BlockDecoder().decode_results(payload.outputs)
         self._retired[shard] = payload
         self._connections[shard].close()
@@ -782,9 +737,6 @@ class MultiprocessingExecutor(ShardExecutor):
         if self._finished:
             raise RuntimeError("executor already finished")
         self._finished = True
-        decode_results = (
-            self._encoders is not None and self.config.collect_results
-        )
         outcomes: List[ShardOutcome] = []
         try:
             for shard in range(self.num_shards):
@@ -806,7 +758,7 @@ class MultiprocessingExecutor(ShardExecutor):
                     raise ShardFailure(
                         shard, str(payload), recoverable=False
                     )
-                if decode_results:
+                if self.config.collect_results:
                     # Each worker encoded with its own fresh encoder, so
                     # each outcome block carries its schema inline; a
                     # fresh decoder per outcome keeps the pairing exact.

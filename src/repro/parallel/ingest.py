@@ -2,8 +2,8 @@
 
 The synchronous drive loop interleaves three costs on one thread:
 routing (:meth:`~repro.parallel.router.KeyRouter.route_batch`), block
-encoding (:class:`~repro.core.blocks.TupleBlock` construction under the
-block transports) and shard dispatch.  Under the process executors the
+encoding (:class:`~repro.core.blocks.TupleBlock` construction for the
+process executors) and shard dispatch.  Under the process executors the
 shards compute concurrently, but the *feeder* is still serial with them:
 while the caller routes and encodes the next burst, every worker that
 has drained its pipe sits idle.  :class:`PipelinedIngest` moves the
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.tuples import StreamTuple
 from .pipeline import PartitionedPipeline

@@ -78,7 +78,6 @@ from .shard import (
     ShardOutcome,
     empty_outputs,
     merge_outputs,
-    transport_encodes_blocks,
 )
 from .shm import DEFAULT_RING_BYTES
 from .supervision import (
@@ -117,15 +116,15 @@ class PartitionedPipeline:
         Tuples buffered per shard before one IPC dispatch (``"process"``
         executor only).
     transport:
-        Wire format of the ``"process"`` executor:
-        :data:`~repro.parallel.shard.TRANSPORT_BLOCKS` (default —
-        columnar :class:`~repro.core.blocks.TupleBlock` /
-        :class:`~repro.core.blocks.ResultBlock` messages),
-        :data:`~repro.parallel.shard.TRANSPORT_SHM` (the same block
-        frames carried through a per-shard shared-memory ring, the
-        pipe reduced to a doorbell), or
-        :data:`~repro.parallel.shard.TRANSPORT_OBJECTS` (legacy
-        per-object pickling).
+        Carrier of the process executors' columnar
+        :class:`~repro.core.blocks.TupleBlock` /
+        :class:`~repro.core.blocks.ResultBlock` frames:
+        :data:`~repro.parallel.shard.TRANSPORT_BLOCKS` (default — the
+        worker pipe),
+        :data:`~repro.parallel.shard.TRANSPORT_SHM` (a per-shard
+        shared-memory ring, the pipe reduced to a doorbell), or
+        :data:`~repro.parallel.shard.TRANSPORT_SOCKET` (TCP to the
+        ``nodes`` below).
     credit_window:
         Arm credit-based backpressure on the process executors: at most
         this many dispatched-but-unprocessed batches per shard; the
@@ -411,22 +410,7 @@ class PartitionedPipeline:
 
     def process(self, t: StreamTuple) -> Outputs:
         """Feed one raw tuple; return results made available right now."""
-        if self._flushed:
-            raise RuntimeError("pipeline already flushed; create a new instance")
-        collect = self.config.collect_results
-        outputs = empty_outputs(collect)
-        for shard in self.router.route(t):
-            try:
-                produced = self.executor.submit(shard, t)
-            except ShardFailure as failure:
-                produced = self._fail_over(failure)
-            if shard in self._emit_shards:
-                outputs = merge_outputs(collect, outputs, produced)
-        if self._rebalancer is not None:
-            self._routed_since_check += 1
-            if self._routed_since_check >= self._rebalance_interval:
-                outputs = merge_outputs(collect, outputs, self._run_rebalance())
-        return outputs
+        return self.process_batch([t])
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> Outputs:
         """Feed a burst of raw tuples; return results made available now.
@@ -437,9 +421,9 @@ class PartitionedPipeline:
         (in shard order) instead of one envelope per tuple.  Each shard
         still sees its sub-stream in arrival order, so every shard's
         internal result sequence — and therefore the result multiset and
-        the ts-ordered :meth:`flush` sequence — is identical to
-        per-tuple feeding.  Only the interleaving of *immediately
-        returned* results across shards differs: within one call they
+        the ts-ordered :meth:`flush` sequence — is the same whatever the
+        burst sizes.  Only the interleaving of *immediately returned*
+        results across shards depends on them: within one call they
         come back grouped by shard rather than by arrival (the serial
         executor returns them here; the process executor defers
         everything to :meth:`flush` regardless).
@@ -662,12 +646,7 @@ class PartitionedPipeline:
                 beacon_ts=0,
                 drain_floor_ts=0,
             )
-            encode = transport_encodes_blocks(
-                getattr(self.executor, "transport", None)
-            )
-            states = partition_failover_state(
-                payload.window, payload.pending, spec, encode=encode
-            )
+            states = partition_failover_state(payload.window, payload.pending, spec)
             for state in states:
                 adopted = self.executor.adopt(state.dest, state)
                 outputs = merge_outputs(collect, outputs, adopted)
@@ -782,11 +761,11 @@ def run_partitioned(
     :meth:`~PartitionedPipeline.flush` — the full result multiset under
     either executor.
 
-    ``chunk_size=None`` drives the pipeline tuple-at-a-time
-    (:meth:`~PartitionedPipeline.process`); a positive ``chunk_size``
-    slices the arrival stream into bursts of that many tuples and drives
-    the batched engine (:meth:`~PartitionedPipeline.process_batch`).
-    ``transport`` picks the ``"process"`` executor's wire format and
+    The arrival stream is sliced into bursts of ``chunk_size`` tuples,
+    each fed through :meth:`~PartitionedPipeline.process_batch`;
+    ``chunk_size=None`` feeds one tuple per burst (under ``pipelined``,
+    ``batch_size`` tuples).  ``transport`` picks the process executors'
+    carrier and
     ``rebalance`` / ``rebalance_interval`` / ``slots_per_shard`` /
     ``rebalance_threshold`` enable and tune skew-aware slot rebalancing;
     ``supervision`` / ``fault_plan`` configure the ``"supervised"``
@@ -806,6 +785,8 @@ def run_partitioned(
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if chunk_size is None:
+        chunk_size = batch_size if pipelined else 1
     with PartitionedPipeline(
         config,
         num_shards,
@@ -822,14 +803,16 @@ def run_partitioned(
         ring_bytes=ring_bytes,
         nodes=nodes,
     ) as pipeline:
-        collect = config.collect_results
-        outputs = empty_outputs(collect)
+        arrivals = list(dataset.arrivals())
+        chunks = (
+            arrivals[start : start + chunk_size]
+            for start in range(0, len(arrivals), chunk_size)
+        )
         if pipelined:
             # Deferred import: ingest builds on PartitionedPipeline, so
             # a module-level import here would be circular.
             from .ingest import DEFAULT_MAX_PENDING, PipelinedIngest
 
-            feed_chunk = chunk_size if chunk_size is not None else batch_size
             pending = (
                 max_pending_batches
                 if max_pending_batches is not None
@@ -838,31 +821,13 @@ def run_partitioned(
             with PipelinedIngest(
                 pipeline, max_pending_batches=pending
             ) as feeder:
-                chunk: List[StreamTuple] = []
-                for t in dataset.arrivals():
-                    chunk.append(t)
-                    if len(chunk) >= feed_chunk:
-                        feeder.submit(chunk)
-                        chunk = []
-                if chunk:
+                for chunk in chunks:
                     feeder.submit(chunk)
                 outputs = feeder.flush()
             return outputs, pipeline.metrics
-        if chunk_size is None:
-            for t in dataset.arrivals():
-                outputs = merge_outputs(collect, outputs, pipeline.process(t))
-        else:
-            chunk: List[StreamTuple] = []
-            for t in dataset.arrivals():
-                chunk.append(t)
-                if len(chunk) >= chunk_size:
-                    outputs = merge_outputs(
-                        collect, outputs, pipeline.process_batch(chunk)
-                    )
-                    chunk = []
-            if chunk:
-                outputs = merge_outputs(
-                    collect, outputs, pipeline.process_batch(chunk)
-                )
+        collect = config.collect_results
+        outputs = empty_outputs(collect)
+        for chunk in chunks:
+            outputs = merge_outputs(collect, outputs, pipeline.process_batch(chunk))
         outputs = merge_outputs(collect, outputs, pipeline.flush())
         return outputs, pipeline.metrics

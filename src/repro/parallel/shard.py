@@ -134,9 +134,9 @@ class CheckpointRequest:
 
 
 #: A checkpoint record's shipped-output leg: the worker's result delta
-#: since its previous checkpoint, as a plain :data:`Outputs` or packed
-#: into a :class:`~repro.core.blocks.ResultBlock` (block transport with
-#: collected results — mirroring the outcome path).
+#: since its previous checkpoint, as a plain count (count-only mode) or
+#: packed into a :class:`~repro.core.blocks.ResultBlock` (collected
+#: results — mirroring the outcome path).
 CheckpointOutputs = Union[Outputs, ResultBlock]
 
 
@@ -211,17 +211,14 @@ MSG_RING = "ring"
 #: pongs, errors, credits — stay inline on the pipe.
 MSG_RING_REPLY = "ring_reply"
 
-# Wire formats of the multiprocessing executor's tuple transfer.
-#: Columnar :class:`~repro.core.blocks.TupleBlock` messages with a
-#: schema-negotiating encoder/decoder pair per shard connection, and a
-#: :class:`~repro.core.blocks.ResultBlock` for collected results on the
-#: return path.  The default: one flat object per pipe message.
+# Transports of the process executors.  Every transport ships the same
+# columnar block frames — tuple batches as TupleBlock messages with a
+# schema-negotiating encoder/decoder pair per shard connection, migrated
+# and checkpointed state as encoded StateBlock frames, collected results
+# as a ResultBlock on the return path — and differs only in the carrier.
+#: Block frames over the worker pipe, one flat object per pipe message
+#: (the default).
 TRANSPORT_BLOCKS = "blocks"
-#: Legacy per-object pickling: each message carries a list of
-#: :class:`~repro.core.tuples.StreamTuple` graphs.  Kept as the
-#: benchmark baseline and as a fallback for exotic payload values whose
-#: pickling relies on object-graph context.
-TRANSPORT_OBJECTS = "objects"
 #: Columnar blocks carried over per-shard shared-memory rings instead of
 #: the pipe: frames are written once into a :class:`ShmRing` and read in
 #: place by the peer, with tiny sequence-numbered doorbells on the pipe
@@ -236,19 +233,7 @@ TRANSPORT_SHM = "shm"
 #: object satisfies the ``Connection`` send/recv surface.
 TRANSPORT_SOCKET = "socket"
 
-TRANSPORTS = (TRANSPORT_BLOCKS, TRANSPORT_OBJECTS, TRANSPORT_SHM, TRANSPORT_SOCKET)
-
-
-def transport_encodes_blocks(transport: Optional[str]) -> bool:
-    """Whether a transport ships columnar blocks (vs. object graphs).
-
-    The shm and socket transports reuse the block codec wholesale — same
-    ``TupleBlock``/``ResultBlock``/``StateBlock`` frames, different
-    carrier — so every "should I encode/decode?" decision in the
-    executors keys off this predicate instead of a ``== TRANSPORT_BLOCKS``
-    comparison.
-    """
-    return transport in (TRANSPORT_BLOCKS, TRANSPORT_SHM, TRANSPORT_SOCKET)
+TRANSPORTS = (TRANSPORT_BLOCKS, TRANSPORT_SHM, TRANSPORT_SOCKET)
 
 
 def slot_classifier(spec: MigrationSpec) -> Callable[[StreamTuple], Optional[int]]:
@@ -300,8 +285,9 @@ def extract_shard_state(
     Runs the pipeline's beacon drain + extraction
     (:meth:`~repro.core.pipeline.QualityDrivenPipeline.prepare_migration`)
     and groups the carved-out state into one :class:`StateBlock` per
-    destination shard (columnar-encoded when ``encode``, for the block
-    transport's pipe).  Returns ``(drain outputs, state blocks)``.
+    destination shard (columnar-encoded when ``encode``, for a worker
+    connection; the in-process serial executor skips the codec).
+    Returns ``(drain outputs, state blocks)``.
 
     The extraction is tier-aware: passing the spec's per-stream key
     attributes plus :func:`value_classifier` lets a
@@ -369,7 +355,6 @@ def checkpoint_shard_state(
     pipeline: QualityDrivenPipeline,
     shard: int,
     request: CheckpointRequest,
-    encode: bool,
 ) -> Tuple[CheckpointFrame, Outputs]:
     """Capture a shard's full state as a checkpoint frame, losslessly.
 
@@ -397,10 +382,7 @@ def checkpoint_shard_state(
     window: WindowPayload = []
     window.extend(window_groups.get(0, []))
     pending = pending_groups.get(0, [])
-    if encode:
-        state = encode_state(shard, shard, (), window, pending)
-    else:
-        state = StateBlock(shard, shard, (), list(window), list(pending))
+    state = encode_state(shard, shard, (), window, pending)
     frame = frame_checkpoint(shard, request.epoch, request.seq, state)
     readopted = pipeline.adopt_migration(window_groups.get(0, []), pending)
     collect = pipeline.config.collect_results
@@ -440,24 +422,20 @@ def shard_worker(
     conn: Connection,
     shard: int,
     config: PipelineConfig,
-    transport: str = TRANSPORT_OBJECTS,
     faults: Optional[FaultPlan] = None,
     rings: Optional[RingDescriptors] = None,
     grant_credits: bool = False,
 ) -> None:
     """Child-process loop: drain tuple batches, flush, send the outcome back.
 
-    Protocol (parent → child): any number of ``(MSG_BATCH, payload)``
-    messages — ``payload`` is a list of tuples under
-    :data:`TRANSPORT_OBJECTS` or a :class:`~repro.core.blocks.TupleBlock`
-    under :data:`TRANSPORT_BLOCKS` — then exactly one ``(MSG_FLUSH,
-    None)``.  The child replies with a single ``("ok", ShardOutcome)`` —
-    or ``("error", text)`` if the pipeline raised — and exits.  Outputs
-    accumulate in the child and travel back once (as a
-    :class:`~repro.core.blocks.ResultBlock` in the outcome's ``outputs``
-    field under block transport with collected results; the parent
-    decodes before exposing the outcome), so steady-state IPC is just
-    the batched tuple stream.  ``(MSG_ABORT, None)`` makes the child
+    Protocol (parent → child): any number of ``(MSG_BATCH, TupleBlock)``
+    messages, then exactly one ``(MSG_FLUSH, None)``.  The child replies
+    with a single ``("ok", ShardOutcome)`` — or ``("error", text)`` if
+    the pipeline raised — and exits.  Outputs accumulate in the child
+    and travel back once (as a :class:`~repro.core.blocks.ResultBlock`
+    in the outcome's ``outputs`` field when results are collected; the
+    parent decodes before exposing the outcome), so steady-state IPC is
+    just the batched tuple stream.  ``(MSG_ABORT, None)`` makes the child
     exit immediately with no reply — the shutdown path for abandoned
     runs; an explicit message rather than pipe EOF because under the
     ``fork`` start method sibling workers inherit copies of earlier pipe
@@ -507,9 +485,7 @@ def shard_worker(
             reply_ring = ShmRing.attach(*rings[1])
         pipeline = QualityDrivenPipeline(config)
         collect = config.collect_results
-        decoder: Optional[BlockDecoder] = (
-            BlockDecoder() if transport_encodes_blocks(transport) else None
-        )
+        decoder = BlockDecoder()
         armed = faults.for_shard(shard) if faults is not None else ()
         injector: Optional[FaultInjector] = FaultInjector(armed) if armed else None
         if injector is not None:
@@ -530,7 +506,7 @@ def shard_worker(
                 break
             if tag == MSG_MIGRATE_OUT:
                 drained, states = extract_shard_state(
-                    pipeline, shard, payload, encode=decoder is not None
+                    pipeline, shard, payload, encode=True
                 )
                 outputs = merge_outputs(collect, outputs, drained)
                 if injector is not None:
@@ -538,23 +514,19 @@ def shard_worker(
                 _reply(conn, reply_ring, ("state", states), injector)
                 continue
             if tag == MSG_MIGRATE_IN:
-                adopted = adopt_shard_state(
-                    pipeline, payload, decode=decoder is not None
-                )
+                adopted = adopt_shard_state(pipeline, payload, decode=True)
                 outputs = merge_outputs(collect, outputs, adopted)
                 continue
             if tag == MSG_PING:
                 conn.send((MSG_PONG, payload))
                 continue
             if tag == MSG_CHECKPOINT:
-                frame, barrier = checkpoint_shard_state(
-                    pipeline, shard, payload, encode=decoder is not None
-                )
+                frame, barrier = checkpoint_shard_state(pipeline, shard, payload)
                 outputs = merge_outputs(collect, outputs, barrier)
                 if injector is not None:
                     frame.payload = injector.corrupt_payload(frame.payload)
                 delta: CheckpointOutputs = outputs
-                if decoder is not None and collect:
+                if collect:
                     delta = BlockEncoder().encode_results(outputs)
                 record = CheckpointRecord(
                     shard,
@@ -578,13 +550,10 @@ def shard_worker(
                 raise ValueError(f"unknown protocol message tag {tag!r}")
             if injector is not None:
                 injector.before_batch()
-            if decoder is not None:
-                # Lazy decode: blocks materialize tuples here, right at
-                # the point of consumption — the pipe and the parent
-                # never hold per-tuple objects for this batch.
-                payload = decoder.decode(payload)
-            # Each IPC batch drains through the batched engine; identical
-            # to a per-tuple loop, minus the per-tuple driver overhead.
+            # Lazy decode: blocks materialize tuples here, right at the
+            # point of consumption — the pipe and the parent never hold
+            # per-tuple objects for this batch.
+            payload = decoder.decode(payload)
             outputs = merge_outputs(collect, outputs, pipeline.process_batch(payload))
             if injector is not None:
                 injector.after_batch()
@@ -592,7 +561,7 @@ def shard_worker(
             if grant_credits:
                 conn.send((MSG_CREDIT, consumed))
         outputs = merge_outputs(collect, outputs, pipeline.flush())
-        if decoder is not None and collect:
+        if collect:
             outputs = BlockEncoder().encode_results(outputs)
         _reply(
             conn,

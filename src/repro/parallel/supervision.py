@@ -188,7 +188,6 @@ def partition_failover_state(
     window: Sequence[WindowStateItem],
     pending: Sequence[StreamTuple],
     spec: MigrationSpec,
-    encode: bool,
 ) -> List[StateBlock]:
     """Split a dead shard's recovered state into per-survivor blocks.
 
@@ -245,12 +244,7 @@ def partition_failover_state(
         window_leg.extend(per_dest_window.get(dest, []))
         pending_leg = per_dest_pending.get(dest, [])
         slots = tuple(slots_by_dest.get(dest, []))
-        if encode:
-            states.append(encode_state(-1, dest, slots, window_leg, pending_leg))
-        else:
-            states.append(
-                StateBlock(-1, dest, slots, list(window_leg), pending_leg)
-            )
+        states.append(encode_state(-1, dest, slots, window_leg, pending_leg))
     return states
 
 
@@ -364,10 +358,7 @@ class SupervisedExecutor(MultiprocessingExecutor):
         """
         if self._credit_window is not None:
             self._await_credit(shard)
-        if self._encoders is not None:
-            payload = self._encoders[shard].encode(window)
-        else:
-            payload = list(window)
+        payload = self._encoders[shard].encode(window)
         self._send_message(shard, (MSG_BATCH, payload))
         self._dispatched[shard] += 1
 
@@ -470,12 +461,9 @@ class SupervisedExecutor(MultiprocessingExecutor):
             pending: List[StreamTuple] = []
             replay: List[List[StreamTuple]] = []
             if ckpt is not None:
-                state = unframe_checkpoint(ckpt.frame)
-                if self._encoders is not None:
-                    window_items, pending_items = decode_state(state)
-                else:
-                    window_items = list(state.window)
-                    pending_items = list(state.pending)
+                window_items, pending_items = decode_state(
+                    unframe_checkpoint(ckpt.frame)
+                )
                 window.extend(window_items)
                 pending.extend(pending_items)
             for seq, kind, entry in self._replay[shard]:
@@ -485,10 +473,7 @@ class SupervisedExecutor(MultiprocessingExecutor):
                     # Adopted state that never made it into a checkpoint
                     # folds into the window/pending legs (it is already
                     # in adoptable form once decoded).
-                    if self._encoders is not None:
-                        w, p = decode_state(entry)
-                    else:
-                        w, p = list(entry.window), list(entry.pending)
+                    w, p = decode_state(entry)
                     window.extend(w)
                     pending.extend(p)
             # Tuples buffered parent-side but never dispatched belong to
@@ -508,18 +493,6 @@ class SupervisedExecutor(MultiprocessingExecutor):
     # ------------------------------------------------------------------
     # dispatch paths (all logged + supervised)
     # ------------------------------------------------------------------
-
-    def submit(self, shard: int, t: StreamTuple) -> Outputs:
-        if self._finished:
-            raise RuntimeError("executor already finished")
-        self._assert_live(shard)
-        self.submitted[shard] += 1
-        pending = self._batches[shard]
-        pending.append(t)
-        if len(pending) >= self.batch_size:
-            self._batches[shard] = []
-            self._dispatch_window(shard, pending)
-        return empty_outputs(self.config.collect_results)
 
     def submit_batch(self, shard: int, batch: Sequence[StreamTuple]) -> Outputs:
         if self._finished:
@@ -634,7 +607,7 @@ class SupervisedExecutor(MultiprocessingExecutor):
             raise ShardFailure(shard, str(exc)) from exc
         delta = record.outputs
         collect = self.config.collect_results
-        if self._encoders is not None and collect:
+        if collect:
             delta = BlockDecoder().decode_results(delta)
         self._deltas[shard] = merge_outputs(collect, self._deltas[shard], delta)
         stats = _add_stats(self._stats_base[shard], record.join_stats)
@@ -729,7 +702,6 @@ class SupervisedExecutor(MultiprocessingExecutor):
             raise RuntimeError("executor already finished")
         self._finished = True
         collect = self.config.collect_results
-        decode_results = self._encoders is not None and collect
         outcomes: List[ShardOutcome] = []
         try:
             for shard in range(self.num_shards):
@@ -770,7 +742,7 @@ class SupervisedExecutor(MultiprocessingExecutor):
                     )
                 outcome = payload
                 outputs = outcome.outputs
-                if decode_results:
+                if collect:
                     outputs = BlockDecoder().decode_results(outputs)
                 outputs = merge_outputs(collect, self._deltas[shard], outputs)
                 stats = _add_stats(self._stats_base[shard], outcome.join_stats)

@@ -1,8 +1,8 @@
 """Determinism suite for the batched, plan-cached execution engine.
 
-The load-bearing contract of `process_batch` at every layer — operator,
-single pipeline, partitioned pipeline — is **exact equivalence** with
-per-tuple processing: the same disordered workload must produce the
+The load-bearing contract of `process_batch` on the single and the
+partitioned pipeline is that burst size never matters: feeding one tuple
+per call (`process`) and feeding chunks of any size must produce the
 *identical result sequence* (not just set or multiset) and identical
 `JoinStatistics` / `PipelineMetrics` counters, because batching is a pure
 driver optimization, never a semantic change.  The probe-plan cache gets
@@ -14,7 +14,6 @@ import pytest
 
 from repro import (
     BandPredicate,
-    EquiPredicate,
     FixedKPolicy,
     JoinCondition,
     MaxKSlackPolicy,
@@ -69,7 +68,7 @@ def _chunks(items, size):
 
 
 # ----------------------------------------------------------------------
-# operator level
+# operator level: the probe-plan cache
 # ----------------------------------------------------------------------
 
 
@@ -94,78 +93,6 @@ def _mswj_workload(seed=3):
             )
         )
     return tuples
-
-
-class TestOperatorBatched:
-    @pytest.mark.parametrize(
-        "condition",
-        [
-            CONDITION,
-            JoinCondition(
-                [EquiPredicate(0, "a1", 1, "a1"), BandPredicate(1, "v", 2, "v", 10.0)]
-            ),
-        ],
-        ids=["equi-chain", "equi+band"],
-    )
-    def test_batch_matches_per_tuple_results_and_stats(self, condition):
-        workload = _mswj_workload()
-        per_tuple = MSWJOperator([1_000, 1_000, 1_000], condition)
-        expected = []
-        for t in workload:
-            expected.extend(per_tuple.process(t))
-        batched = MSWJOperator([1_000, 1_000, 1_000], condition)
-        got = batched.process_batch(workload)
-        assert _sequence(got) == _sequence(expected)
-        assert batched.stats.as_dict() == per_tuple.stats.as_dict()
-        assert batched.on_t == per_tuple.on_t
-        assert batched.window_cardinalities() == per_tuple.window_cardinalities()
-
-    def test_count_only_mode_matches(self):
-        workload = _mswj_workload(seed=5)
-        per_tuple = MSWJOperator([1_000] * 3, CONDITION, collect_results=False)
-        expected = sum(per_tuple.process(t) for t in workload)
-        batched = MSWJOperator([1_000] * 3, CONDITION, collect_results=False)
-        assert batched.process_batch(workload) == expected
-        assert batched.stats.as_dict() == per_tuple.stats.as_dict()
-
-    def test_probe_out_of_order_mode_matches(self):
-        workload = _mswj_workload(seed=9)
-        per_tuple = MSWJOperator([1_000] * 3, CONDITION, probe_out_of_order=True)
-        expected = []
-        for t in workload:
-            expected.extend(per_tuple.process(t))
-        batched = MSWJOperator([1_000] * 3, CONDITION, probe_out_of_order=True)
-        got = batched.process_batch(workload)
-        assert _sequence(got) == _sequence(expected)
-        assert batched.stats.as_dict() == per_tuple.stats.as_dict()
-
-    def test_batch_rejects_bad_stream_index(self):
-        op = MSWJOperator([1_000] * 3, CONDITION)
-        with pytest.raises(ValueError):
-            op.process_batch([StreamTuple(ts=1, stream=7)])
-
-    def test_productivity_callback_sequence_identical(self):
-        workload = _mswj_workload(seed=11)
-        calls = []
-
-        def record(kind):
-            def callback(t, n_cross, n_on, in_order):
-                calls.append((kind, t.seq, n_cross, n_on, in_order))
-
-            return callback
-
-        per_tuple = MSWJOperator(
-            [1_000] * 3, CONDITION, productivity_callback=record("per-tuple")
-        )
-        for t in workload:
-            per_tuple.process(t)
-        batched = MSWJOperator(
-            [1_000] * 3, CONDITION, productivity_callback=record("batched")
-        )
-        batched.process_batch(workload)
-        per_tuple_calls = [c[1:] for c in calls if c[0] == "per-tuple"]
-        batched_calls = [c[1:] for c in calls if c[0] == "batched"]
-        assert batched_calls == per_tuple_calls
 
 
 class TestPlanCache:

@@ -9,11 +9,10 @@ Two layers of contract:
   batches, unicode attribute names.  Schema negotiation must intern each
   attribute set once per encoder/decoder pair.
 * **Transport invariance** — the columnar wire format is a pure
-  transport optimization: partitioned runs over block transport must
-  produce byte-identical result sequences, ``JoinStatistics`` and merged
-  ``PipelineMetrics`` (deterministic fields) versus the object-pickling
-  transport and the serial batched engine, at shards 1/2/4, in collected
-  and count-only modes.
+  transport detail: partitioned runs over block transport must produce
+  the serial executor's canonical result sequence, ``JoinStatistics``
+  and merged ``PipelineMetrics`` (deterministic fields, K trajectories
+  included) at shards 1/2/4, in collected and count-only modes.
 """
 
 import multiprocessing
@@ -28,7 +27,6 @@ from hypothesis import strategies as st
 from repro import (
     MISSING,
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     BandPredicate,
     BlockDecoder,
     BlockEncoder,
@@ -299,21 +297,6 @@ def _run(dataset, config, shards, executor="serial",
 
 class TestTransportInvariance:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_blocks_byte_identical_to_object_transport(self, shards):
-        dataset = _dataset()
-        blocks, m_blocks, s_blocks = _run(
-            dataset, _config(dataset), shards, executor="process",
-            transport=TRANSPORT_BLOCKS,
-        )
-        objects, m_objects, s_objects = _run(
-            dataset, _config(dataset), shards, executor="process",
-            transport=TRANSPORT_OBJECTS,
-        )
-        assert _sequence(blocks) == _sequence(objects)
-        assert s_blocks == s_objects
-        assert _metric_fields(m_blocks) == _metric_fields(m_objects)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_blocks_match_serial_batched_engine(self, shards):
         dataset = _dataset()
         serial, m_serial, s_serial = _run(
@@ -344,33 +327,33 @@ class TestTransportInvariance:
             dataset, _config(dataset, collect=False), shards,
             executor="process", transport=TRANSPORT_BLOCKS,
         )
-        objects, _, s_objects = _run(
-            dataset, _config(dataset, collect=False), shards,
-            executor="process", transport=TRANSPORT_OBJECTS,
-        )
-        assert blocks == serial == objects
-        assert s_blocks == s_serial == s_objects
+        assert serial > 0  # fixture actually joins
+        assert blocks == serial
+        assert s_blocks == s_serial
         assert _metric_fields(m_blocks) == _metric_fields(m_serial)
 
     def test_adaptive_run_k_trajectories_identical(self):
         # ModelBasedPolicy adapts K per shard; the transport must not
-        # perturb a single adaptation decision.
+        # perturb a single adaptation decision versus the in-process
+        # serial executor.
         dataset = _dataset(seed=43)
+        serial, m_serial, s_serial = _run(
+            dataset, _config(dataset, adaptive=True), 2, executor="serial"
+        )
         blocks, m_blocks, s_blocks = _run(
             dataset, _config(dataset, adaptive=True), 2, executor="process",
             transport=TRANSPORT_BLOCKS,
         )
-        objects, m_objects, s_objects = _run(
-            dataset, _config(dataset, adaptive=True), 2, executor="process",
-            transport=TRANSPORT_OBJECTS,
-        )
-        assert _sequence(blocks) == _sequence(objects)
-        assert s_blocks == s_objects
-        assert _metric_fields(m_blocks) == _metric_fields(m_objects)
+        assert _sequence(blocks) == sorted(_sequence(serial))
+        assert s_blocks == s_serial
+        assert _metric_fields(m_blocks) == _metric_fields(m_serial)
+        assert len(m_blocks.shard_k_histories) == 2
+        assert any(len(k) > 1 for k in m_blocks.shard_k_histories)
 
     def test_per_tuple_submission_over_blocks(self):
-        # The submit() accumulation path (process() driver) must encode
-        # the same blocks the batched driver does.
+        # One-tuple bursts (the process() driver) accumulate in the
+        # parent-side buffer and must encode the same blocks the
+        # batched driver does.
         dataset = _dataset(duration_s=6, seed=47)
         per_tuple, _, s_pt = _run(
             dataset, _config(dataset), 2, executor="process",
@@ -451,4 +434,6 @@ class TestExecutorStartupFailure:
         executor.close()
         executor.close()  # second close is a no-op
         with pytest.raises(RuntimeError):
-            executor.submit(0, StreamTuple(ts=1, values={"a1": 1}, stream=0))
+            executor.submit_batch(
+                0, [StreamTuple(ts=1, values={"a1": 1}, stream=0)]
+            )

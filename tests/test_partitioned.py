@@ -68,6 +68,14 @@ def _multiset(results):
     return Counter(r.key() for r in results)
 
 
+def _route_one(router, t):
+    """Shards ``route_batch`` sends ``t`` to (all of them on broadcast)."""
+    routed = router.route_batch([t])
+    if routed is None:
+        return tuple(range(router.num_shards))
+    return tuple(shard for shard, batch in enumerate(routed) if batch)
+
+
 class TestPartitionKeyExtraction:
     def test_chain_equi_join_is_partitionable(self):
         condition = equi_join_chain("a1", 3)
@@ -112,7 +120,9 @@ class TestKeyRouter:
         assert router.exact
         for value in range(50):
             shards = {
-                router.route(StreamTuple(ts=1, values={"a1": value}, stream=s))
+                _route_one(
+                    router, StreamTuple(ts=1, values={"a1": value}, stream=s)
+                )
                 for s in (0, 1)
             }
             assert len(shards) == 1  # both streams land on the same shard
@@ -121,7 +131,7 @@ class TestKeyRouter:
     def test_broadcast_fallback_routes_to_all_shards(self):
         router = KeyRouter(JoinCondition([]), 2, 3)
         assert not router.exact
-        assert router.route(StreamTuple(ts=1, stream=0)) == (0, 1, 2)
+        assert router.route_batch([StreamTuple(ts=1, stream=0)]) is None
         assert router.shard_of(StreamTuple(ts=1, stream=0)) is None
 
     def test_stable_hash_is_equality_consistent(self):
@@ -144,7 +154,9 @@ class TestKeyRouter:
 
     def test_single_shard_router(self):
         router = KeyRouter(equi_join_chain("a1", 2), 2, 1)
-        assert router.route(StreamTuple(ts=1, values={"a1": 3}, stream=0)) == (0,)
+        t = StreamTuple(ts=1, values={"a1": 3}, stream=0)
+        assert _route_one(router, t) == (0,)
+        assert router.shard_of(t) == 0
 
 
 class TestShardCountInvariance:
@@ -310,9 +322,45 @@ class TestPartitionedLifecycle:
         executor = MultiprocessingExecutor(
             _lossless_config(dataset, condition, 2), 1, batch_size=1
         )
-        executor.submit(0, StreamTuple(ts=1, values={"a1": 1}, stream=5))
+        executor.submit_batch(0, [StreamTuple(ts=1, values={"a1": 1}, stream=5)])
         with pytest.raises(RuntimeError, match="shard 0"):
             executor.finish()
+
+    @pytest.mark.parametrize("stream", [5, -1])
+    def test_process_rejects_out_of_range_stream_index(self, stream):
+        # The per-tuple entry point raises the documented ValueError (as
+        # process_batch does), before the router counts the tuple.
+        condition = equi_join_chain("a1", 2)
+        dataset = _d3(duration_s=2)
+        pipeline = PartitionedPipeline(
+            _lossless_config(dataset, condition, 2), 2
+        )
+        pipeline.process(StreamTuple(ts=50, values={"a1": 1}, stream=0))
+        loads = list(pipeline.router.shard_loads)
+        watermark = pipeline.router.watermark_ts
+        with pytest.raises(ValueError, match="stream index"):
+            pipeline.process(
+                StreamTuple(ts=100, values={"a1": 1}, stream=stream)
+            )
+        assert pipeline.router.shard_loads == loads
+        assert pipeline.router.watermark_ts == watermark
+
+    @pytest.mark.parametrize("executor", ["serial", "process", "supervised"])
+    def test_broadcast_rejects_out_of_range_stream_index_at_call(
+        self, executor
+    ):
+        # Broadcast conditions have no partition key, but the router
+        # still validates stream indices: every executor rejects the
+        # tuple at the call instead of a worker failing at flush().
+        specs = [(i % 2, 100 * i, {"a1": i % 5}) for i in range(10)]
+        dataset = from_tuple_specs(specs, num_streams=2)
+        config = _lossless_config(dataset, JoinCondition([]), 2)
+        with PartitionedPipeline(config, 2, executor=executor) as pipeline:
+            with pytest.raises(ValueError, match="stream index"):
+                pipeline.process_batch(
+                    [StreamTuple(ts=1, values={"a1": 1}, stream=5)]
+                )
+            assert pipeline.flush() == []
 
 
 class TestMetricsMerge:

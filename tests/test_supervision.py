@@ -27,7 +27,6 @@ from repro import (
     SupervisedExecutor,
     SupervisionConfig,
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     TRANSPORT_SHM,
     TieredStoreConfig,
     ZipfValueSampler,
@@ -143,9 +142,7 @@ def _crash_plan(shards):
     ))
 
 
-@pytest.mark.parametrize(
-    "transport", [TRANSPORT_BLOCKS, TRANSPORT_OBJECTS, TRANSPORT_SHM]
-)
+@pytest.mark.parametrize("transport", [TRANSPORT_BLOCKS, TRANSPORT_SHM])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_crash_recovery_is_byte_identical(dataset, reference, shards,
                                           transport):

@@ -26,7 +26,6 @@ Examples::
 
     python tools/soak.py --phases 3 --seed 7
     python tools/soak.py --phases 5 --executor serial --shards 1,2,4,8
-    python tools/soak.py --phases 3 --executor process --transport objects
     python tools/soak.py --phases 3 --window-s 4.0 --store tiered --hot-budget 256
     python tools/soak.py --chaos --seed 7 --phases 2 --phase-duration-ms 4000
 
@@ -52,7 +51,6 @@ if _SRC not in sys.path:
 
 from repro.experiments.report import print_and_save  # noqa: E402
 from repro.join.store import TieredStoreConfig  # noqa: E402
-from repro.parallel.shard import TRANSPORT_BLOCKS, TRANSPORT_OBJECTS  # noqa: E402
 from repro.workloads.soak import SoakConfig, run_soak  # noqa: E402
 
 
@@ -72,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("both", "serial", "process"),
         default="both",
         help="executor(s) to soak (default: both)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=(TRANSPORT_BLOCKS, TRANSPORT_OBJECTS),
-        default=TRANSPORT_BLOCKS,
-        help="process-executor wire format (default: blocks)",
     )
     parser.add_argument(
         "--shards",
@@ -182,7 +174,6 @@ def main(argv=None) -> int:
             phase_duration_ms=args.phase_duration_ms,
             shard_counts=shard_counts,
             executor=executor,
-            transport=args.transport,
             window_s=args.window_s,
             recall_requirement=args.recall,
             bid_channels=args.bid_channels,
