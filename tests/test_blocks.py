@@ -297,6 +297,28 @@ def _run(dataset, config, shards, executor="serial",
 
 class TestTransportInvariance:
     @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_blocks_byte_identical_to_object_transport(self, shards):
+        # The in-process serial executor hands back the engine's own
+        # result objects; the blocks run must rebuild exactly those
+        # objects (timestamps, components, values) from the wire, so
+        # their pickles match byte for byte once both are in canonical
+        # order.
+        dataset = _dataset()
+        serial, m_serial, s_serial = _run(
+            dataset, _config(dataset), shards, executor="serial"
+        )
+        blocks, m_blocks, s_blocks = _run(
+            dataset, _config(dataset), shards, executor="process",
+            transport=TRANSPORT_BLOCKS,
+        )
+        canonical = sorted(serial, key=lambda r: (r.ts, r.key()))
+        assert len(blocks) == len(canonical) > 0
+        for b, s in zip(blocks, canonical):
+            assert pickle.dumps(b, protocol=5) == pickle.dumps(s, protocol=5)
+        assert s_blocks == s_serial
+        assert _metric_fields(m_blocks) == _metric_fields(m_serial)
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_blocks_match_serial_batched_engine(self, shards):
         dataset = _dataset()
         serial, m_serial, s_serial = _run(
